@@ -1151,7 +1151,7 @@ def run_experiment(
     if pacing is not None:
         from repro.protocols.pacing import pacing_from
 
-        pacing_from("" if pacing == "off" else pacing)  # validate early
+        pacing_from(pacing)  # validate early
         protocols = []
         for point in spec.protocols:
             options = tuple(
@@ -1196,8 +1196,7 @@ def run_experiment(
     if wire_version is not None:
         from repro.protocols.versioning import wire_from
 
-        if wire_version != "off":
-            wire_from(wire_version)  # validate early
+        wire_from(wire_version)  # validate early
         protocols = []
         for point in spec.protocols:
             options = tuple((k, v) for k, v in point.options if k != "wire")
@@ -1210,7 +1209,7 @@ def run_experiment(
     if gr is not None:
         from repro.protocols.graceful import graceful_from
 
-        graceful_from("" if gr == "off" else gr)  # validate early
+        graceful_from(gr)  # validate early
         protocols = []
         for point in spec.protocols:
             options = tuple(

@@ -487,8 +487,14 @@ class LiveNetwork(Transport):
     # ------------------------------------------------------------ failures
 
     def set_link_status(self, a: ADId, b: ADId, up: bool) -> None:
-        """Change a link's status now and notify both endpoint nodes."""
+        """Change a link's status now and notify both endpoint nodes.
+
+        The change itself is activity: a node may answer it only from a
+        timer (the DV family's trigger-delayed flush), and ``settle()``
+        must not report quiescence before that timer fires.
+        """
         link = self.graph.set_link_status(a, b, up)
+        self._touch()
         for end in (a, b):
             if end in self._crashed:
                 continue

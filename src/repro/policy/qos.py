@@ -42,6 +42,11 @@ class QOS(enum.Enum):
     #: Throughput-hungry traffic: maximise the bottleneck bandwidth.
     HIGH_BANDWIDTH = "high_bandwidth"
 
+    #: Members key every per-class routing table; Enum's own hash runs
+    #: in Python on each lookup, the identity hash runs in C.  Equality
+    #: is identity either way.
+    __hash__ = object.__hash__
+
     @property
     def metric(self) -> str:
         """Name of the link metric this QOS class optimises."""
@@ -74,3 +79,8 @@ class QOS(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
+
+
+#: Each class's position in ``value`` order: sorts tables by class
+#: without a Python-level ``value`` lookup per key.
+VALUE_RANK = {q: i for i, q in enumerate(sorted(QOS, key=lambda q: q.value))}

@@ -35,8 +35,8 @@ class ADSet:
 
     @classmethod
     def everyone(cls) -> "ADSet":
-        """The universal set (matches any AD)."""
-        return cls(_SetMode.ALL)
+        """The universal set (matches any AD); one shared value."""
+        return _EVERYONE
 
     @classmethod
     def of(cls, ads: Iterable[ADId]) -> "ADSet":
@@ -83,50 +83,70 @@ class ADSet:
     # closed under intersection and union.  IDRP uses this to propagate
     # allowed-source scopes through path-vector advertisements without
     # enumerating the whole internet.
+    #
+    # ALL and EXCLUDE(empty) are the same predicate but distinct values
+    # (and distinct on the wire).  Every result is built as if ALL were
+    # first normalised to EXCLUDE(empty), so an identity operand returns
+    # the other one normalised -- ``X & everyone`` is ``X._as_exclude()``,
+    # never ``X`` itself when ``X`` is ALL.
 
     def _as_exclude(self) -> "ADSet":
         """Normalise ALL to EXCLUDE(empty) for the algebra."""
-        if self.mode is _SetMode.ALL:
-            return ADSet(_SetMode.EXCLUDE, frozenset())
+        if self.mode is _ALL:
+            return _EXCLUDE_NONE
         return self
 
     def intersect(self, other: "ADSet") -> "ADSet":
         """Set intersection (stays finite/cofinite)."""
-        a, b = self._as_exclude(), other._as_exclude()
-        if a.mode is _SetMode.INCLUDE and b.mode is _SetMode.INCLUDE:
-            return ADSet.of(a.members & b.members)
-        if a.mode is _SetMode.INCLUDE:
-            return ADSet.of(a.members - b.members)
-        if b.mode is _SetMode.INCLUDE:
-            return ADSet.of(b.members - a.members)
-        return ADSet.excluding(a.members | b.members)
+        am, bm = self.mode, other.mode
+        if bm is _ALL or (bm is _EXCLUDE and not other.members):
+            return self._as_exclude()
+        if am is _ALL or (am is _EXCLUDE and not self.members):
+            return other._as_exclude()
+        if am is _INCLUDE and bm is _INCLUDE:
+            return ADSet(_INCLUDE, self.members & other.members)
+        if am is _INCLUDE:
+            return ADSet(_INCLUDE, self.members - other.members)
+        if bm is _INCLUDE:
+            return ADSet(_INCLUDE, other.members - self.members)
+        return ADSet(_EXCLUDE, self.members | other.members)
 
     def union(self, other: "ADSet") -> "ADSet":
         """Set union (stays finite/cofinite)."""
-        a, b = self._as_exclude(), other._as_exclude()
-        if a.mode is _SetMode.INCLUDE and b.mode is _SetMode.INCLUDE:
-            return ADSet.of(a.members | b.members)
-        if a.mode is _SetMode.INCLUDE:
-            return ADSet.excluding(b.members - a.members)
-        if b.mode is _SetMode.INCLUDE:
-            return ADSet.excluding(a.members - b.members)
-        return ADSet.excluding(a.members & b.members)
+        am, bm = self.mode, other.mode
+        if bm is _INCLUDE and not other.members:
+            return self._as_exclude()
+        if am is _INCLUDE and not self.members:
+            return other._as_exclude()
+        if am is _ALL or bm is _ALL:
+            return _EXCLUDE_NONE
+        if am is _INCLUDE and bm is _INCLUDE:
+            return ADSet(_INCLUDE, self.members | other.members)
+        if am is _INCLUDE:
+            return ADSet(_EXCLUDE, other.members - self.members)
+        if bm is _INCLUDE:
+            return ADSet(_EXCLUDE, self.members - other.members)
+        return ADSet(_EXCLUDE, self.members & other.members)
 
     def is_subset_of(self, other: "ADSet") -> bool:
         """Whether every AD this set admits is admitted by ``other``."""
-        a, b = self._as_exclude(), other._as_exclude()
-        if a.mode is _SetMode.INCLUDE:
-            if b.mode is _SetMode.INCLUDE:
-                return a.members <= b.members
-            return not (a.members & b.members)
-        if b.mode is _SetMode.INCLUDE:
+        am, bm = self.mode, other.mode
+        if bm is _ALL:
+            return True
+        if am is _INCLUDE:
+            if bm is _INCLUDE:
+                return self.members <= other.members
+            return self.members.isdisjoint(other.members)
+        if bm is _INCLUDE:
             return False  # a cofinite set never fits in a finite one
-        return b.members <= a.members
+        if am is _ALL:
+            return not other.members
+        return other.members <= self.members
 
     @classmethod
     def none(cls) -> "ADSet":
-        """The empty set."""
-        return cls(_SetMode.INCLUDE, frozenset())
+        """The empty set; one shared value."""
+        return _NONE
 
     @property
     def is_empty(self) -> bool:
@@ -147,6 +167,12 @@ class ADSet:
             return "*"
         sign = "" if self.mode is _SetMode.INCLUDE else "!"
         return sign + "{" + ",".join(str(m) for m in sorted(self.members)) + "}"
+
+
+_ALL, _INCLUDE, _EXCLUDE = _SetMode.ALL, _SetMode.INCLUDE, _SetMode.EXCLUDE
+_EVERYONE = ADSet(_ALL)
+_NONE = ADSet(_INCLUDE, frozenset())
+_EXCLUDE_NONE = ADSet(_EXCLUDE, frozenset())
 
 
 @dataclass(frozen=True)

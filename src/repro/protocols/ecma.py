@@ -33,7 +33,7 @@ from repro.adgraph.graph import InterADGraph
 from repro.adgraph.partial_order import Direction, PartialOrder
 from repro.policy.database import PolicyDatabase
 from repro.policy.flows import FlowSpec
-from repro.policy.qos import QOS
+from repro.policy.qos import QOS, VALUE_RANK
 from repro.protocols.base import ForwardingMode, RoutingProtocol
 from repro.protocols.pacing import OverloadDefenseMixin
 from repro.protocols.validation import OFF, NeighborGuard, ValidationConfig
@@ -47,7 +47,6 @@ TRIGGER_DELAY = 1.0
 
 #: Advertised metric meaning "withdrawn / unreachable".
 INFINITE_METRIC = math.inf
-
 
 @dataclass(frozen=True)
 class ECMAUpdate(Message):
@@ -152,55 +151,50 @@ class ECMANode(OverloadDefenseMixin, ProtocolNode):
 
     def on_message(self, sender: ADId, msg: Message) -> None:
         assert isinstance(msg, ECMAUpdate)
-        if not self.topology.has_link(self.ad_id, sender):
-            return
-        link = self.topology.link(self.ad_id, sender)
-        if not link.up:
+        link = self.topology.link_if_exists(self.ad_id, sender)
+        if link is None or not link.up:
             return
         if self.guard is not None and self.guard.suppresses(sender):
             return
-        # Direction the *data* would travel: from us toward the sender.
-        data_dir = self.order.direction(self.ad_id, sender)
+        # Per message, not per entry: the direction the *data* would
+        # travel (from us toward the sender) and the link cost per class.
+        up_link = self.order.direction(self.ad_id, sender) is Direction.UP
+        costs = {q: link.metric(q.metric) for q in self.supported_qos}
+        screen = self.validation.checks_enabled
+        table, pending, me, isinf = self.table, self._pending, self.ad_id, math.isinf
         changed = False
         have_better_news = False
         for key in msg.poisons:
-            entry = self.table.get(key)
+            entry = table.get(key)
             if entry is not None and entry.next_hop == sender:
-                del self.table[key]
-                self._pending.add(key)
+                del table[key]
+                pending.add(key)
                 changed = True
                 self._damp_loss(key)
         for dest, qos, metric, hops, contains_up in msg.entries:
-            if dest == self.ad_id or qos not in self.supported_qos:
+            cost = costs.get(qos)
+            if cost is None or dest == me:
                 continue
-            if not math.isinf(metric) and self._rejects(sender, dest, metric):
+            withdrawn = isinf(metric)
+            if screen and not withdrawn and self._rejects(sender, dest, metric):
                 continue
             key = (dest, qos)
-            entry = self.table.get(key)
+            entry = table.get(key)
             if entry is not None and entry.next_hop != sender:
-                my_offer = entry.metric + link.metric(qos.metric)
-                if my_offer < metric:
+                if entry.metric + cost < metric:
                     have_better_news = True
-            if math.isinf(metric):
-                # Withdrawal: only authoritative from our next hop.
-                if entry is not None and entry.next_hop == sender:
-                    del self.table[key]
-                    self._pending.add(key)
-                    changed = True
-                    self._damp_loss(key)
-                continue
-            valid = data_dir is Direction.UP or not contains_up
-            if not valid or hops + 1 > self.max_hops:
-                # The up/down rule rejects this route outright; if it came
+            if withdrawn or (contains_up and not up_link) or hops + 1 > self.max_hops:
+                # A withdrawal is only authoritative from our next hop; the
+                # up/down rule rejects a route outright, and if it came
                 # from our next hop, our old route is gone too.
                 if entry is not None and entry.next_hop == sender:
-                    del self.table[key]
-                    self._pending.add(key)
+                    del table[key]
+                    pending.add(key)
                     changed = True
                     self._damp_loss(key)
                 continue
-            new_metric = metric + link.metric(qos.metric)
-            new_up = contains_up or data_dir is Direction.UP
+            new_metric = metric + cost
+            new_up = contains_up or up_link
             if entry is not None and entry.next_hop == sender:
                 if (entry.metric, entry.hops, entry.contains_up) != (
                     new_metric,
@@ -210,19 +204,17 @@ class ECMANode(OverloadDefenseMixin, ProtocolNode):
                     entry.metric = new_metric
                     entry.hops = hops + 1
                     entry.contains_up = new_up
-                    self._pending.add(key)
+                    pending.add(key)
                     changed = True
             elif entry is None or new_metric < entry.metric:
-                self.table[key] = _Entry(new_metric, hops + 1, new_up, sender)
-                self._pending.add(key)
+                table[key] = _Entry(new_metric, hops + 1, new_up, sender)
+                pending.add(key)
                 changed = True
         if changed:
             self.note_computation("dv_recompute")
         if changed or have_better_news:
             if have_better_news:
-                self._pending.update(
-                    k for k, e in self.table.items() if e.next_hop != sender
-                )
+                pending.update([k for k, e in table.items() if e.next_hop != sender])
             self._schedule_flush()
 
     def on_link_change(self, link: InterADLink, up: bool) -> None:
@@ -353,24 +345,24 @@ class ECMANode(OverloadDefenseMixin, ProtocolNode):
             self._flush_scheduled = True
             self.schedule(TRIGGER_DELAY, self._flush)
 
-    def _exportable(self, key: Tuple[ADId, QOS], nbr: ADId) -> bool:
-        """Transit policy in topology: may we offer this route to ``nbr``?
+    def _transit_limit(self, nbr: ADId) -> Optional[FrozenSet[ADId]]:
+        """Transit policy in topology: which routes may we offer ``nbr``?
 
-        Hybrid ADs apply the customer/provider export rule: destinations
-        inside their customer cone are advertised to everyone (anyone may
-        send *to* our customers through us), destinations outside the
-        cone only downward (only our customers may send *through* us to
-        the rest of the world).  That is "limited transit" expressed
-        purely in topology.
+        ``None`` means every route; otherwise only routes to our own AD
+        and to the returned destinations.  Hybrid ADs apply the
+        customer/provider export rule: destinations inside their
+        customer cone are advertised to everyone (anyone may send *to*
+        our customers through us), destinations outside the cone only
+        downward (only our customers may send *through* us to the rest
+        of the world).  That is "limited transit" expressed purely in
+        topology.
         """
-        dest, _qos = key
-        if dest == self.ad_id:
-            return True
         if not self.may_transit:
-            return False
-        if self.down_only_transit and dest not in self.cone:
-            return self.order.direction(self.ad_id, nbr) is Direction.DOWN
-        return True
+            return frozenset()
+        if self.down_only_transit:
+            if self.order.direction(self.ad_id, nbr) is not Direction.DOWN:
+                return self.cone
+        return None
 
     def _flush(self) -> None:
         wait = self._pacing_defers_flush()
@@ -378,7 +370,7 @@ class ECMANode(OverloadDefenseMixin, ProtocolNode):
             self.schedule(wait, self._flush)
             return
         self._flush_scheduled = False
-        keys = sorted(self._pending, key=lambda k: (k[0], k[1].value))
+        keys = sorted(self._pending, key=lambda k: (k[0], VALUE_RANK[k[1]]))
         self._pending.clear()
         if not keys:
             return
@@ -390,33 +382,35 @@ class ECMANode(OverloadDefenseMixin, ProtocolNode):
                 if key[0] != self.ad_id and self._damp_suppressed(key):
                     (withdraw if self._suppress_withdraw_once(key) else silent).add(key)
                     self.suppressed_announcements += 1
+        # One row per key, shared by every neighbour: (dest, next hop or
+        # None for a withdrawal, the advertised entry, key).  Withdrawals
+        # are not transit offers; they always go out (and solicit
+        # re-offers from neighbours that still hold a route).
+        lie = "metric-lie" in self._active_lies
+        rows = []
+        for key in keys:
+            if key in silent:
+                continue
+            dest, qos = key
+            entry = self.table.get(key)
+            if entry is None or key in withdraw:
+                rows.append((dest, None, (dest, qos, INFINITE_METRIC, 0, False), key))
+                continue
+            metric = 0.0 if lie else entry.metric
+            offer = (dest, qos, metric, entry.hops, entry.contains_up)
+            rows.append((dest, entry.next_hop, offer, key))
+        me = self.ad_id
         for nbr in self.neighbors():
+            limit = self._transit_limit(nbr)
             entries: List[Tuple[ADId, QOS, float, int, bool]] = []
             poisons: List[Tuple[ADId, QOS]] = []
-            for key in keys:
-                if key in withdraw:
-                    entries.append((key[0], key[1], INFINITE_METRIC, 0, False))
+            for dest, via, offer, key in rows:
+                if via is None:
+                    entries.append(offer)
+                elif limit is not None and dest != me and dest not in limit:
                     continue
-                if key in silent:
-                    continue
-                entry = self.table.get(key)
-                if entry is None:
-                    # Withdrawals are not transit offers; they always go
-                    # out (and solicit re-offers from neighbours that
-                    # still hold a route).
-                    entries.append((key[0], key[1], INFINITE_METRIC, 0, False))
-                    continue
-                if not self._exportable(key, nbr):
-                    continue
-                if entry.next_hop != nbr:  # split horizon
-                    metric = (
-                        0.0
-                        if "metric-lie" in self._active_lies
-                        else entry.metric
-                    )
-                    entries.append(
-                        (key[0], key[1], metric, entry.hops, entry.contains_up)
-                    )
+                elif via != nbr:  # split horizon
+                    entries.append(offer)
                 else:
                     poisons.append(key)
             if entries or poisons:

@@ -37,6 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Tuple, Union
 
+from repro.protocols.features import feature_names
+
 #: The individually toggleable feature names, in canonical order.
 FEATURES: Tuple[str, ...] = ("helper", "resync")
 
@@ -85,26 +87,10 @@ def graceful_from(
 ) -> GracefulRestartConfig:
     """Normalize a user-facing graceful-restart spec into a config.
 
-    Accepts a ready config, ``None``/``"none"`` (off), ``"all"`` (every
-    feature), one feature name, or an iterable of feature names.
+    Accepts a ready config or the :mod:`~repro.protocols.features`
+    grammar (``"off"``, ``"all"``, ``+``-joined names, an iterable).
     """
     if isinstance(value, GracefulRestartConfig):
         return value
-    if value is None:
-        return GR_OFF
-    if isinstance(value, str):
-        if value == "none" or value == "":
-            return GR_OFF
-        if value == "all":
-            return GR_FULL
-        names: Tuple[str, ...] = tuple(value.replace("+", ",").split(","))
-    else:
-        names = tuple(value)
-    names = tuple(n.strip() for n in names if n.strip())
-    unknown = [n for n in names if n not in FEATURES]
-    if unknown:
-        raise ValueError(
-            f"unknown graceful-restart feature(s) {unknown}; "
-            f"choose from {FEATURES}"
-        )
-    return GracefulRestartConfig(**{n: True for n in names})
+    names = feature_names(value, FEATURES, "graceful-restart")
+    return GracefulRestartConfig(**dict.fromkeys(names, True)) if names else GR_OFF

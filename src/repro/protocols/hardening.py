@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Tuple, Union
 
+from repro.protocols.features import feature_names
+
 #: The individually toggleable feature names, in canonical order.
 FEATURES: Tuple[str, ...] = ("dedup", "retransmit", "refresh")
 
@@ -77,25 +79,10 @@ def hardening_from(
 ) -> HardeningConfig:
     """Normalize a user-facing hardening spec into a config.
 
-    Accepts a ready config, ``None``/``"none"`` (off), ``"all"`` (every
-    feature), one feature name, or an iterable of feature names.
+    Accepts a ready config or the :mod:`~repro.protocols.features`
+    grammar (``"off"``, ``"all"``, ``+``-joined names, an iterable).
     """
     if isinstance(value, HardeningConfig):
         return value
-    if value is None:
-        return SOFT
-    if isinstance(value, str):
-        if value == "none" or value == "":
-            return SOFT
-        if value == "all":
-            return HARDENED
-        names: Tuple[str, ...] = tuple(value.replace("+", ",").split(","))
-    else:
-        names = tuple(value)
-    names = tuple(n.strip() for n in names if n.strip())
-    unknown = [n for n in names if n not in FEATURES]
-    if unknown:
-        raise ValueError(
-            f"unknown hardening feature(s) {unknown}; choose from {FEATURES}"
-        )
-    return HardeningConfig(**{n: True for n in names})
+    names = feature_names(value, FEATURES, "hardening")
+    return HardeningConfig(**dict.fromkeys(names, True)) if names else SOFT

@@ -33,7 +33,7 @@ from repro.adgraph.graph import InterADGraph
 from repro.core.design_space import DV_HBH_TERMS
 from repro.policy.database import PolicyDatabase
 from repro.policy.flows import FlowSpec
-from repro.policy.qos import QOS
+from repro.policy.qos import QOS, VALUE_RANK
 from repro.policy.sets import ADSet
 from repro.policy.terms import PolicyTerm
 from repro.policy.uci import UCI
@@ -120,7 +120,6 @@ class _LocEntry:
 #: Loc-RIB / Adj-RIB key: (destination, QOS class, policy-class tag).
 _Key = Tuple[ADId, QOS, int]
 
-
 class IDRPNode(OverloadDefenseMixin, ProtocolNode):
     """Per-AD path-vector process."""
 
@@ -185,21 +184,22 @@ class IDRPNode(OverloadDefenseMixin, ProtocolNode):
             return
         if self.guard is not None and self.guard.suppresses(sender):
             return
+        classes = len(self.class_sets)
+        screen = self.validation.checks_enabled
         changed_keys = []
         for ad in msg.routes:
-            if not 0 <= ad.cls < len(self.class_sets):
+            if not 0 <= ad.cls < classes:
                 continue
-            if not ad.is_withdrawal and self._rejects(sender, ad):
+            if screen and ad.path and self._rejects(sender, ad):
                 continue
             key = (ad.dest, ad.qos, ad.cls)
             per_nbr = self.rib_in.setdefault(key, {})
-            if ad.is_withdrawal:
-                if sender in per_nbr:
-                    del per_nbr[sender]
-                else:
-                    continue
-            else:
+            if ad.path:
                 per_nbr[sender] = ad
+            elif sender in per_nbr:
+                del per_nbr[sender]
+            else:
+                continue
             if self._reselect(key):
                 changed_keys.append(key)
         if changed_keys:
@@ -304,41 +304,43 @@ class IDRPNode(OverloadDefenseMixin, ProtocolNode):
 
     # -------------------------------------------------------------- decision
 
-    def _candidate_rank(self, ad: RouteAd, link_metric: float):
-        metric = ad.metric + link_metric
-        return (metric, len(ad.path), -ad.allowed.plausible_size(), ad.path)
-
     def _candidate_usable(self, ad: RouteAd) -> bool:
         """Extra per-candidate acceptance hook (variants override)."""
         return True
 
     def _reselect(self, key: _Key) -> bool:
-        """Recompute the Loc-RIB entry for a key; True if it changed."""
-        if key[0] == self.ad_id:
+        """Recompute the Loc-RIB entry for a key; True if it changed.
+
+        Candidates rank by (metric here, path length, widest scope, path).
+        """
+        me = self.ad_id
+        if key[0] == me:
             return False
         cls_set = self.class_sets[key[2]]
-        best: Optional[_LocEntry] = None
-        best_rank = None
+        # The universal class admits every source, so a candidate serves
+        # none of it only if its own scope is empty.
+        universal = cls_set.is_universal
+        metric_name = key[1].metric
         graph = self.topology
+        best = best_rank = None
         for nbr, ad in sorted(self.rib_in.get(key, {}).items()):
-            if self.ad_id in ad.path:
+            if me in ad.path:
                 continue  # loop suppression via full AD path
-            if ad.allowed.intersect(cls_set).is_empty:
+            if universal:
+                if ad.allowed.is_empty:
+                    continue
+            elif ad.allowed.intersect(cls_set).is_empty:
                 continue  # serves no source of this route's class
             if not self._candidate_usable(ad):
                 continue
-            if not graph.has_link(self.ad_id, nbr) or not graph.link(self.ad_id, nbr).up:
+            link = graph.link_if_exists(me, nbr)
+            if link is None or not link.up:
                 continue
-            link_metric = graph.link(self.ad_id, nbr).metric(key[1].metric)
-            rank = self._candidate_rank(ad, link_metric)
+            metric = ad.metric + link.metric(metric_name)
+            rank = (metric, len(ad.path), -ad.allowed.plausible_size(), ad.path)
             if best_rank is None or rank < best_rank:
                 best_rank = rank
-                best = _LocEntry(
-                    via=nbr,
-                    path=(self.ad_id,) + ad.path,
-                    metric=ad.metric + link_metric,
-                    allowed=ad.allowed,
-                )
+                best = (nbr, ad, metric)
         old = self.loc.get(key)
         if best is None:
             if old is not None:
@@ -346,46 +348,56 @@ class IDRPNode(OverloadDefenseMixin, ProtocolNode):
                 self._damp_loss(key)
                 return True
             return False
+        via, ad, metric = best
+        path = (me,) + ad.path
         if old is None or (old.via, old.path, old.metric) != (
-            best.via,
-            best.path,
-            best.metric,
-        ) or old.allowed != best.allowed:
-            self.loc[key] = best
+            via,
+            path,
+            metric,
+        ) or old.allowed != ad.allowed:
+            self.loc[key] = _LocEntry(via, path, metric, ad.allowed)
             return True
         return False
 
     # --------------------------------------------------------------- export
 
+    def _export_rule(self, nbr: ADId):
+        """The part of the export rule toward ``nbr`` that no key changes,
+        computed once per neighbour per flush: our own terms that admit
+        traffic arriving from ``nbr``.  The value is handed back to
+        :meth:`_export_scope` as ``rule``; variants return their own."""
+        return tuple(t for t in self.own_terms if t.prev_ads.matches(nbr))
+
     def _export_scope(
-        self, entry: _LocEntry, dest: ADId, qos: QOS, to_nbr: ADId, cls: int = 0
+        self, entry: _LocEntry, dest: ADId, qos: QOS, to_nbr: ADId, cls: int, rule
     ) -> ADSet:
         """Narrow the source scope by our own transit policy toward ``to_nbr``.
 
         We are offering ``to_nbr`` transit through us: traffic would
         arrive from ``to_nbr`` (prev) and leave toward ``entry.via``
-        (next).  The admitted sources are the union over our PTs matching
-        that traversal of their source sets, intersected with the
-        downstream scope and the route's class partition.
+        (next).  The admitted sources are the union over our PTs
+        matching that traversal of their source sets, intersected with
+        the downstream scope and the route's class partition.  ``rule``
+        is :meth:`_export_rule` of ``to_nbr``.
         """
         if dest == self.ad_id:
             return self.class_sets[cls]
+        via = entry.via
+        matching = [
+            t
+            for t in rule
+            if t.matches_except_source(dest, to_nbr, via, qos, TEMPLATE_UCI, TEMPLATE_HOUR)
+        ]
         if not self.source_scope:
             # BGP-2: scopes are not expressible; export is all-or-nothing
             # on whether *any* matching term exists.
-            for term in self.own_terms:
-                if term.matches_except_source(
-                    dest, to_nbr, entry.via, qos, TEMPLATE_UCI, TEMPLATE_HOUR
-                ):
-                    return ADSet.everyone()
-            return ADSet.none()
+            return ADSet.everyone() if matching else ADSet.none()
         permitted = ADSet.none()
-        for term in self.own_terms:
-            if term.matches_except_source(
-                dest, to_nbr, entry.via, qos, TEMPLATE_UCI, TEMPLATE_HOUR
-            ):
-                permitted = permitted.union(term.sources)
-        return entry.allowed.intersect(permitted).intersect(self.class_sets[cls])
+        for term in matching:
+            permitted = permitted.union(term.sources)
+        scope = entry.allowed.intersect(permitted)
+        cls_set = self.class_sets[cls]
+        return scope if cls_set.is_universal else scope.intersect(cls_set)
 
     def _schedule_flush(self) -> None:
         if not self._flush_scheduled:
@@ -398,36 +410,35 @@ class IDRPNode(OverloadDefenseMixin, ProtocolNode):
             self.schedule(wait, self._flush)
             return
         self._flush_scheduled = False
-        keys = sorted(self._pending, key=lambda k: (k[0], k[1].value, k[2]))
+        keys = sorted(self._pending, key=lambda k: (k[0], VALUE_RANK[k[1]], k[2]))
         self._pending.clear()
         if not keys:
             return
         # A suppressed key exports nowhere: the ``_advertised`` machinery
         # below then emits the withdrawal exactly once per neighbour and
         # stays silent until the penalty decays (``_on_reuse`` re-pends).
-        suppressed: set = set()
-        if self.pacing.damp and self._damper is not None:
-            for key in keys:
-                if key[0] != self.ad_id and self._damp_suppressed(key):
-                    suppressed.add(key)
-                    self.suppressed_announcements += 1
+        damping = self.pacing.damp and self._damper is not None
+        rows = []
+        for key in keys:
+            entry = self.loc.get(key)
+            if damping and key[0] != self.ad_id and self._damp_suppressed(key):
+                entry = None
+                self.suppressed_announcements += 1
+            rows.append((key, entry))
+        lie = "metric-lie" in self._active_lies
         for nbr in self.neighbors():
             advertised = self._advertised.setdefault(nbr, set())
+            rule = self._export_rule(nbr)
             routes: List[RouteAd] = []
-            for key in keys:
+            for key, entry in rows:
                 dest, qos, cls = key
-                entry = self.loc.get(key)
-                exportable = (
-                    key not in suppressed
-                    and entry is not None
+                scope = None
+                if (
+                    entry is not None
                     and entry.via != nbr  # split horizon on the path-vector
                     and nbr not in entry.path  # receiver would reject anyway
-                )
-                scope = (
-                    self._export_scope(entry, dest, qos, nbr, cls)
-                    if exportable
-                    else None
-                )
+                ):
+                    scope = self._export_scope(entry, dest, qos, nbr, cls, rule)
                 if scope is None or scope.is_empty:
                     if key in advertised:
                         advertised.discard(key)
@@ -437,7 +448,7 @@ class IDRPNode(OverloadDefenseMixin, ProtocolNode):
                     continue
                 advertised.add(key)
                 metric = entry.metric
-                if "metric-lie" in self._active_lies and dest != self.ad_id:
+                if lie and dest != self.ad_id:
                     metric = 0.0
                 routes.append(
                     RouteAd(dest, qos, entry.path, metric, scope, cls)

@@ -38,6 +38,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, Tuple, Union
 
+from repro.protocols.features import feature_names
+
 #: The individually toggleable feature names, in canonical order.
 FEATURES: Tuple[str, ...] = ("pace", "holddown", "damp")
 
@@ -105,29 +107,13 @@ def pacing_from(
 ) -> PacingConfig:
     """Normalize a user-facing pacing spec into a config.
 
-    Accepts a ready config, ``None``/``"none"``/``"off"`` (off),
-    ``"all"``/``"full"`` (every feature), one feature name, or an
-    iterable of feature names.
+    Accepts a ready config or the :mod:`~repro.protocols.features`
+    grammar (``"off"``, ``"all"``, ``+``-joined names, an iterable).
     """
     if isinstance(value, PacingConfig):
         return value
-    if value is None:
-        return UNPACED
-    if isinstance(value, str):
-        if value in ("none", "off", ""):
-            return UNPACED
-        if value in ("all", "full"):
-            return FULL
-        names: Tuple[str, ...] = tuple(value.replace("+", ",").split(","))
-    else:
-        names = tuple(value)
-    names = tuple(n.strip() for n in names if n.strip())
-    unknown = [n for n in names if n not in FEATURES]
-    if unknown:
-        raise ValueError(
-            f"unknown pacing feature(s) {unknown}; choose from {FEATURES}"
-        )
-    return PacingConfig(**{n: True for n in names})
+    names = feature_names(value, FEATURES, "pacing")
+    return PacingConfig(**dict.fromkeys(names, True)) if names else UNPACED
 
 
 class _DampState:

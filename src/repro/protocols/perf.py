@@ -30,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Tuple, Union
 
+from repro.protocols.features import feature_names
+
 #: The individually toggleable feature names, in canonical order.
 FEATURES: Tuple[str, ...] = ("incremental_spf", "delta_view")
 
@@ -66,30 +68,16 @@ def perf_from(
 ) -> PerfConfig:
     """Normalize a user-facing perf spec into a config.
 
-    Accepts a ready config, ``None``/``"all"``/``"full"``/``"fast"``
-    (every fast path: the default), ``"none"``/``"off"``/``"legacy"``
-    (from-scratch recompute), one feature name, or an iterable of
-    feature names.  Dashes in names are accepted for CLI friendliness.
+    Accepts a ready config or the :mod:`~repro.protocols.features`
+    grammar.  Unlike the robustness configs, ``None``, ``""`` and
+    ``"fast"`` mean every fast path (the default); ``"legacy"``, like
+    ``"none"``/``"off"``, means the from-scratch recompute.
     """
     if isinstance(value, PerfConfig):
         return value
-    if value is None:
+    if value is None or value in ("", "fast"):
         return FAST
-    if isinstance(value, str):
-        if value in ("all", "full", "fast", ""):
-            return FAST
-        if value in ("none", "off", "legacy"):
-            return LEGACY
-        value = [value]
-    features = {}
-    for name in value:
-        name = name.replace("-", "_")
-        if name not in FEATURES:
-            raise ValueError(
-                f"unknown perf feature {name!r}; expected one of {FEATURES}"
-            )
-        features[name] = True
-    return PerfConfig(
-        incremental_spf=features.get("incremental_spf", False),
-        delta_view=features.get("delta_view", False),
-    )
+    if value == "legacy":
+        return LEGACY
+    names = feature_names(value, FEATURES, "perf")
+    return PerfConfig(**{f: f in names for f in FEATURES})

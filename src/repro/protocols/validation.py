@@ -39,6 +39,7 @@ from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Tuple, Union
 
 from repro.adgraph.ad import ADId
+from repro.protocols.features import feature_names
 
 #: The individually toggleable check names, in canonical order.
 FEATURES: Tuple[str, ...] = (
@@ -117,28 +118,13 @@ def validation_from(
 ) -> ValidationConfig:
     """Normalize a user-facing validation spec into a config.
 
-    Accepts a ready config, ``None``/``"none"`` (off), ``"all"`` (every
-    check), one check name, or an iterable of check names.
+    Accepts a ready config or the :mod:`~repro.protocols.features`
+    grammar (``"off"``, ``"all"``, ``+``-joined names, an iterable).
     """
     if isinstance(value, ValidationConfig):
         return value
-    if value is None:
-        return OFF
-    if isinstance(value, str):
-        if value == "none" or value == "":
-            return OFF
-        if value == "all":
-            return FULL
-        names: Tuple[str, ...] = tuple(value.replace("+", ",").split(","))
-    else:
-        names = tuple(value)
-    names = tuple(n.strip() for n in names if n.strip())
-    unknown = [n for n in names if n not in FEATURES]
-    if unknown:
-        raise ValueError(
-            f"unknown validation feature(s) {unknown}; choose from {FEATURES}"
-        )
-    return ValidationConfig(**{n: True for n in names})
+    names = feature_names(value, FEATURES, "validation")
+    return ValidationConfig(**dict.fromkeys(names, True)) if names else OFF
 
 
 @dataclass

@@ -284,18 +284,19 @@ class _TopoVectorNode(IDRPNode):
         super().behave()
         self.may_transit, self.down_only_transit = self._honest_transit
 
-    def _export_scope(
-        self, entry, dest: ADId, qos, to_nbr: ADId, cls: int = 0
-    ) -> ADSet:
-        if dest == self.ad_id:
-            return ADSet.everyone()
+    def _export_rule(self, nbr: ADId) -> bool:
+        """Whether our role lets us offer ``nbr`` transit at all."""
         if not self.may_transit:
-            return ADSet.none()
+            return False
         if self.down_only_transit:
-            if self.order.direction(self.ad_id, to_nbr) is not Direction.DOWN:
-                return ADSet.none()
-        # The receiver revalidates the up/down rule itself; no term scopes.
-        return ADSet.everyone()
+            return self.order.direction(self.ad_id, nbr) is Direction.DOWN
+        return True
+
+    def _export_scope(self, entry, dest: ADId, qos, to_nbr: ADId, cls: int, rule) -> ADSet:
+        if dest == self.ad_id or rule:
+            # The receiver revalidates the up/down rule itself; no term scopes.
+            return ADSet.everyone()
+        return ADSet.none()
 
 
 class DVSourceTopologyProtocol(RoutingProtocol):

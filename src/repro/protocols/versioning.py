@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Tuple, Union
 
+from repro.protocols.features import OFF_WORDS
 from repro.simul.messages import HEADER_BYTES, Message
 from repro.simul.wire import MIN_WIRE_VERSION, WIRE_VERSION
 
@@ -117,11 +118,12 @@ WireLike = Union[WireConfig, str, int, None]
 def wire_from(value: WireLike = None) -> WireConfig:
     """Normalize a wire-config spelling.
 
-    Accepts ``None`` (default), a :class:`WireConfig`, a bare version
+    Accepts ``None`` or ``"off"``/``"none"`` (default: the current
+    version, no negotiation), a :class:`WireConfig`, a bare version
     int, or a string of ``+``-joined parts: ``"v1"``, ``"v2"``,
     ``"negotiate"``, ``"v1+negotiate"``, ``"current"``.
     """
-    if value is None:
+    if value is None or value in OFF_WORDS:
         return DEFAULT_WIRE
     if isinstance(value, WireConfig):
         return value

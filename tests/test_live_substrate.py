@@ -12,7 +12,7 @@ import asyncio
 
 import pytest
 
-from repro.faults.plan import FaultPlan, LinkFault, NodeFault
+from repro.faults.plan import FaultPlan, LinkFault, NodeFault, link_flap_plan
 from repro.live import (
     LiveClock,
     LiveNetwork,
@@ -25,8 +25,9 @@ from repro.live import (
 from repro.policy.flows import FlowSpec
 from repro.policy.generators import open_policies
 from repro.protocols.registry import make_protocol
-from repro.simul.runner import converge
+from repro.simul.runner import converge, run_with_failures
 from repro.simul.transport import TimerHandle
+from repro.workloads.scenarios import reference_scenario
 
 from .helpers import mk_graph
 
@@ -240,6 +241,36 @@ def test_fidelity_small_scenario_routes_identical():
     assert len(report.sim_times) == 1 + 2 * report.flaps
     assert len(report.live_times) == len(report.sim_times)
     assert "IDENTICAL" in format_report(report)
+
+
+#: ECMA runs one QOS table (the E1 "ecma(1 qos)" cell): its three-table
+#: run carries 3x the frames and alone would take most of the live
+#: smoke job's 30 s budget.
+DV_POINTS = [("idrp", {}), ("ecma", {"qos_classes": ("default",)})]
+
+
+@pytest.mark.parametrize("name, options", DV_POINTS, ids=["idrp", "ecma-1qos"])
+def test_dv_flap_episodes_settle_to_sim_tables(name, options):
+    """A DV node answers a link change only from its trigger-delayed
+    flush timer, so settle() must count the change itself as activity:
+    otherwise it returns before the flush, every episode reads 0 frames,
+    and a frame sent after close() raises."""
+    scn = reference_scenario(seed=0)
+    plan = link_flap_plan(scn.graph, flaps=3, seed=0)
+    proto = make_protocol(name, scn.graph, scn.policies, substrate="live", **options)
+    result = run_live(proto, plan, time_scale=0.005, idle_window_s=0.05,
+                      timeout_s=60.0)
+    assert result.quiesced
+    assert len(result.episodes) == 6
+    assert all(ep.result.events > 0 for ep in result.episodes)
+
+    twin_scn = reference_scenario(seed=0)
+    twin = make_protocol(name, twin_scn.graph, twin_scn.policies, **options)
+    run_with_failures(twin.build(), plan)
+    attr = "table" if name == "ecma" else "loc"
+    for ad_id in scn.graph.ad_ids():
+        assert (getattr(proto.network.node(ad_id), attr)
+                == getattr(twin.network.node(ad_id), attr)), ad_id
 
 
 # ------------------------------------------------------------------ misuse

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.policy.sets import ADSet, TimeWindow
+from repro.policy.sets import ADSet, TimeWindow, _SetMode
 
 
 class TestADSetBasics:
@@ -94,6 +94,92 @@ class TestADSetAlgebra:
     def test_subset_implies_pointwise_containment(self, a, b, x):
         if a.is_subset_of(b) and a.matches(x):
             assert b.matches(x)
+
+
+# Reference copy of the plain frozenset algebra, no fast paths.  Results
+# are (mode, members) pairs, so ALL and EXCLUDE(empty) -- equal as
+# predicates, distinct as values and on the wire -- are told apart.
+def _ref_norm(s):
+    if s.mode is _SetMode.ALL:
+        return _SetMode.EXCLUDE, frozenset()
+    return s.mode, s.members
+
+
+def _ref_intersect(a, b):
+    (am, a_), (bm, b_) = _ref_norm(a), _ref_norm(b)
+    if am is _SetMode.INCLUDE and bm is _SetMode.INCLUDE:
+        return ADSet(_SetMode.INCLUDE, a_ & b_)
+    if am is _SetMode.INCLUDE:
+        return ADSet(_SetMode.INCLUDE, a_ - b_)
+    if bm is _SetMode.INCLUDE:
+        return ADSet(_SetMode.INCLUDE, b_ - a_)
+    return ADSet(_SetMode.EXCLUDE, a_ | b_)
+
+
+def _ref_union(a, b):
+    (am, a_), (bm, b_) = _ref_norm(a), _ref_norm(b)
+    if am is _SetMode.INCLUDE and bm is _SetMode.INCLUDE:
+        return ADSet(_SetMode.INCLUDE, a_ | b_)
+    if am is _SetMode.INCLUDE:
+        return ADSet(_SetMode.EXCLUDE, b_ - a_)
+    if bm is _SetMode.INCLUDE:
+        return ADSet(_SetMode.EXCLUDE, a_ - b_)
+    return ADSet(_SetMode.EXCLUDE, a_ & b_)
+
+
+def _ref_is_subset(a, b):
+    (am, a_), (bm, b_) = _ref_norm(a), _ref_norm(b)
+    if am is _SetMode.INCLUDE:
+        return a_ <= b_ if bm is _SetMode.INCLUDE else not (a_ & b_)
+    return False if bm is _SetMode.INCLUDE else b_ <= a_
+
+
+# Every representation, the identity elements in each spelling included.
+_any_adsets = st.one_of(
+    st.sampled_from(
+        [ADSet.everyone(), ADSet.none(), ADSet.excluding(()), ADSet.of(())]
+    ),
+    _adsets,
+)
+
+
+class TestADSetRepresentationOracle:
+    """Results must *equal* the reference values, mode included; a
+    membership check alone cannot see ALL returned for EXCLUDE(empty)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(a=_any_adsets, b=_any_adsets)
+    def test_intersect_matches_reference(self, a, b):
+        got = a.intersect(b)
+        assert got == _ref_intersect(a, b)
+        assert got.mode is _ref_intersect(a, b).mode
+
+    @settings(max_examples=400, deadline=None)
+    @given(a=_any_adsets, b=_any_adsets)
+    def test_union_matches_reference(self, a, b):
+        got = a.union(b)
+        assert got == _ref_union(a, b)
+        assert got.mode is _ref_union(a, b).mode
+
+    @settings(max_examples=400, deadline=None)
+    @given(a=_any_adsets, b=_any_adsets)
+    def test_subset_matches_reference(self, a, b):
+        assert a.is_subset_of(b) == _ref_is_subset(a, b)
+
+    def test_identity_elements_normalise_all(self):
+        everyone, none = ADSet.everyone(), ADSet.none()
+        assert everyone.intersect(everyone) == ADSet.excluding(())
+        assert everyone.intersect(everyone) != everyone
+        assert ADSet.of([1]).intersect(everyone) == ADSet.of([1])
+        assert everyone.union(none) == ADSet.excluding(())
+        assert none.union(none) == none
+        assert ADSet.of([1]).union(everyone) == ADSet.excluding(())
+
+    def test_constructors_share_identity_singletons(self):
+        assert ADSet.everyone() is ADSet.everyone()
+        assert ADSet.none() is ADSet.none()
+        assert ADSet.everyone() == ADSet(_SetMode.ALL)
+        assert ADSet.none() == ADSet(_SetMode.INCLUDE, frozenset())
 
 
 class TestTimeWindow:

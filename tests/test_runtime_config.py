@@ -10,12 +10,14 @@ both substrates implement.
 import pytest
 
 from repro.policy.generators import open_policies
+from repro.protocols.graceful import GracefulRestartConfig, graceful_from
 from repro.protocols.hardening import HardeningConfig, hardening_from
-from repro.protocols.pacing import PacingConfig
-from repro.protocols.perf import PerfConfig
+from repro.protocols.pacing import PacingConfig, pacing_from
+from repro.protocols.perf import LEGACY, PerfConfig, perf_from
 from repro.protocols.registry import make_protocol
 from repro.protocols.runtime import NodeRuntimeConfig, runtime_from
-from repro.protocols.validation import ValidationConfig
+from repro.protocols.validation import ValidationConfig, validation_from
+from repro.protocols.versioning import DEFAULT_WIRE, WireConfig, wire_from
 from repro.simul.engine import Simulator
 from repro.simul.ingress import IngressConfig
 from repro.simul.network import SimNetwork
@@ -30,6 +32,45 @@ def small_setting():
         [(0, 1), (1, 2), (2, 3), (3, 0)],
     )
     return graph, open_policies(graph).policies
+
+
+# ------------------------------------------------------- the feature grammar
+
+#: (normaliser, spelling, expected): every ``*_from`` takes ``+``-joined
+#: lists and ``"off"`` alike.
+SPELLINGS = [
+    (perf_from, "incremental_spf+delta_view", PerfConfig()),
+    (perf_from, "incremental-spf", PerfConfig(delta_view=False)),
+    (perf_from, "off", LEGACY),
+    (hardening_from, "dedup+retransmit", HardeningConfig(dedup=True, retransmit=True)),
+    (hardening_from, "off", HardeningConfig()),
+    (validation_from, "path_check+quarantine",
+     ValidationConfig(path_check=True, quarantine=True)),
+    (validation_from, "off", ValidationConfig()),
+    (pacing_from, "pace+damp", PacingConfig(pace=True, damp=True)),
+    (pacing_from, "off", PacingConfig()),
+    (graceful_from, "helper+resync", GracefulRestartConfig(helper=True, resync=True)),
+    (graceful_from, "off", GracefulRestartConfig()),
+    (wire_from, "v1+negotiate", WireConfig(version=1, min_version=1, negotiate=True)),
+    (wire_from, "off", DEFAULT_WIRE),
+    (lambda v: runtime_from(hardening=v, validation=v, pacing=v, graceful=v), "off",
+     NodeRuntimeConfig()),
+    (lambda v: runtime_from(hardening=v), "dedup+refresh",
+     NodeRuntimeConfig(hardening=HardeningConfig(dedup=True, refresh=True))),
+]
+
+
+@pytest.mark.parametrize("normalise, spelling, expected", SPELLINGS)
+def test_feature_grammar_is_uniform(normalise, spelling, expected):
+    assert normalise(spelling) == expected
+
+
+@pytest.mark.parametrize(
+    "normalise", [perf_from, hardening_from, validation_from, pacing_from, graceful_from]
+)
+def test_feature_grammar_rejects_unknown_names(normalise):
+    with pytest.raises(ValueError, match="unknown .*feature"):
+        normalise("warp-drive")
 
 
 # ------------------------------------------------------------- the container
